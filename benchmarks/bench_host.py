@@ -44,9 +44,9 @@ histogram) for each — the per-request latency signal the service-layer
 roadmap item tracks.
 
 The result is a ``repro-bench-host/3`` JSON document
-(``schemas/bench_host.schema.json``) that ``scripts/bench_diff.py`` can
-diff run-over-run: ``host_seconds`` regresses upward, the ``*_speedup``
-ratios regress downward.  Absolute thresholds are deliberately not
+(``schemas/bench_host.schema.json``) that ``python -m repro.obs
+record`` / ``check`` gate run-over-run: ``host_seconds`` regresses
+upward, the ``*_speedup`` ratios regress downward.  Absolute thresholds are deliberately not
 asserted here — CI runners vary wildly — only structural facts: every
 run exits 0, the warm runs hit the cache (including ``jit-source``
 artifacts), parallel and cross-engine outputs are byte-identical,
@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         # byte-identical to the compiled-engine sweep payload
         "engine_byte_identical": serial_payload == source_payload,
         # generous structural gates — real thresholds live in
-        # bench_diff.py / obs check comparisons against baselines.
+        # obs check comparisons against the bench history.
         # quick-size sweeps are subprocess/front-end dominated, so the
         # source tier's end-to-end ratio hovers near 1.0 on any host;
         # gate only catastrophic slowdowns here and let the obs

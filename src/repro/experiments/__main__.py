@@ -20,8 +20,8 @@ unit, serial vs Cedar (see :mod:`repro.experiments.ingest`).
 
 Exit status (shared with ``python -m repro.lint``):
     0  all requested experiments ran / source ingested clean
-    1  ``--source`` file rejected by the linter (also reserved for
-       regressions — used by ``repro.prof diff``)
+    1  ``--source`` file rejected by the linter (otherwise reserved:
+       there is no regression outcome here)
     2  usage error (unknown experiment/flag, unreadable source)
     3  internal fault: an experiment crashed or exceeded its budget
 """

@@ -6,7 +6,7 @@ pipeline, this package watches runs **over time** and **explains**
 them:
 
 - :mod:`repro.obs.history` + :mod:`repro.obs.sentinel` — an append-only
-  bench history (``repro-bench-history/1``) of ``repro-bench-host/2``
+  bench history (``repro-bench-history/1``) of ``repro-bench-host/3``
   and ``repro-metrics/1`` payloads, stamped with git SHA + machine
   fingerprint, gated by a statistical regression sentinel
   (Mann-Whitney / bootstrap CI with per-metric thresholds);

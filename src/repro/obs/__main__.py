@@ -3,7 +3,7 @@
 ``record PAYLOAD.json ...``
     Append one ``repro-bench-history/1`` entry — git SHA + machine
     fingerprint + the metrics extracted from the given
-    ``repro-bench-host/2`` / ``repro-metrics/1`` payloads — to the
+    ``repro-bench-host/3`` / ``repro-metrics/1`` payloads — to the
     append-only bench history (``benchmarks/history/history.jsonl``).
 
 ``check``
@@ -162,7 +162,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("record",
                        help="append a history entry from bench payloads")
     p.add_argument("payloads", nargs="+", metavar="PAYLOAD",
-                   help="repro-bench-host/2 and/or repro-metrics/1 "
+                   help="repro-bench-host/3 and/or repro-metrics/1 "
                         "JSON files")
     _add_history_arg(p)
     p.add_argument("--note", default=None,

@@ -36,6 +36,8 @@ import time
 from pathlib import Path
 from typing import Iterable, Optional
 
+from repro.schemacheck import check
+
 SCHEMA_TAG = "repro-bench-history/1"
 
 #: the default longitudinal record, relative to the repo root
@@ -178,7 +180,7 @@ def build_entry(payloads: Iterable[dict], *, note: Optional[str] = None,
         tags = ", ".join(sources) or "none"
         raise ValueError(
             f"no recordable metrics in the given payload(s) "
-            f"(schemas: {tags}); expected repro-bench-host/2|3 or "
+            f"(schemas: {tags}); expected repro-bench-host/3 or "
             f"repro-metrics/1 documents")
     host = host if host is not None else host_stamp()
     entry = {
@@ -195,49 +197,16 @@ def build_entry(payloads: Iterable[dict], *, note: Optional[str] = None,
     return entry
 
 
+def entry_invariants(entry: dict):
+    """What the schema cannot say: the fingerprint matches the host."""
+    if entry["fingerprint"] != fingerprint(entry["host"]):
+        yield "$.fingerprint: does not match the host stamp"
+
+
 def validate_entry(entry) -> list[str]:
-    """Shape-check one entry; returns violations (empty == valid)."""
-    errs: list[str] = []
-    if not isinstance(entry, dict):
-        return ["$: entry must be an object"]
-    if entry.get("schema") != SCHEMA_TAG:
-        errs.append(f"$.schema: expected {SCHEMA_TAG!r}, "
-                    f"got {entry.get('schema')!r}")
-    if not isinstance(entry.get("recorded_unix"), (int, float)):
-        errs.append("$.recorded_unix: must be a unix timestamp")
-    git = entry.get("git")
-    if not isinstance(git, dict):
-        errs.append("$.git: must be an object")
-    else:
-        if not (git.get("sha") is None or isinstance(git["sha"], str)):
-            errs.append("$.git.sha: must be a string or null")
-        if not (git.get("dirty") is None
-                or isinstance(git["dirty"], bool)):
-            errs.append("$.git.dirty: must be a boolean or null")
-    host = entry.get("host")
-    if not isinstance(host, dict):
-        errs.append("$.host: must be an object")
-    else:
-        for key in ("python", "platform", "cpu_count"):
-            if key not in host:
-                errs.append(f"$.host: missing {key!r}")
-    fp = entry.get("fingerprint")
-    if not (isinstance(fp, str) and fp):
-        errs.append("$.fingerprint: must be a nonempty string")
-    elif isinstance(host, dict) and fp != fingerprint(host):
-        errs.append("$.fingerprint: does not match the host stamp")
-    metrics = entry.get("metrics")
-    if not (isinstance(metrics, dict) and metrics):
-        errs.append("$.metrics: must be a nonempty object")
-    else:
-        for name, v in metrics.items():
-            vals = v if isinstance(v, list) else [v]
-            if not vals or not all(
-                    isinstance(x, (int, float))
-                    and not isinstance(x, bool) for x in vals):
-                errs.append(f"$.metrics.{name}: must be a number or a "
-                            f"nonempty list of numbers")
-    return errs
+    """Check one entry against ``schemas/bench_history.schema.json``,
+    then :func:`entry_invariants`; returns violations (empty == valid)."""
+    return check(entry, SCHEMA_TAG, entry_invariants)
 
 
 def samples(entry: dict, metric: str) -> list[float]:

@@ -140,7 +140,9 @@ def _summarize(spans: list[dict], metrics: dict) -> dict:
             w["busy_s"] += s.get("duration_s", 0.0)
     for w in workers.values():
         window = w["last_end"] - w["first_t0"]
-        w["utilization"] = (w["busy_s"] / window) if window > 0 else 0.0
+        # clamped: t0 + duration rounding can push a lone cell past 1
+        w["utilization"] = min(1.0, w["busy_s"] / window) if window > 0 \
+            else 0.0
 
     cache: dict[str, dict] = {}
     for c in metrics.get("counters", ()):

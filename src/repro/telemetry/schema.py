@@ -1,238 +1,100 @@
 """Validator for the ``repro-metrics/1`` telemetry artifact.
 
-Hand-rolled (the environment carries no jsonschema dependency),
-mirroring the conventions of ``scripts/validate_experiment_json.py``,
-which dispatches to :func:`validate_metrics` for this tag.  Beyond
-shape checks it enforces the semantic invariants that make the artifact
-trustworthy:
+Structure lives in ``schemas/metrics.schema.json`` and is enforced by
+:mod:`repro.schemacheck`.  :func:`validate_metrics` then holds a
+conforming artifact to the invariants a schema cannot express (also
+reached via ``scripts/validate_experiment_json.py``):
 
 - histogram bucket counts sum to ``count``; percentile estimates are
   bounded by the recorded ``[min, max]`` and monotone in q;
-- every span has a nonnegative duration, a known pid, and a parent id
-  that resolves within the document (or null);
-- the summary recounts (cells, workers, stage totals) agree with the
-  span list, and cache hit rates agree with the cache counters.
+- every span's pid is listed in ``pids`` and its parent id resolves
+  within the document (or is null); a cell span carries its cell index;
+- the summary recounts (cells, stages, workers) agree with the span
+  list, and cache hit rates agree with the cache counters.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
+from repro.schemacheck import check
 from repro.telemetry.export import SCHEMA_TAG
 
 REL_TOL = 1e-6
 
-_REQUIRED_TOP = ("schema", "trace_id", "pids", "metrics", "spans",
-                 "summary")
-_REQUIRED_SPAN = ("id", "name", "pid", "t0", "duration_s")
 _PERCENTILES = ("p50", "p90", "p95", "p99")
 
 
-class _Checker:
-    def __init__(self) -> None:
-        self.errors: list[str] = []
-
-    def expect(self, cond: bool, path: str, msg: str) -> bool:
-        if not cond:
-            self.errors.append(f"{path}: {msg}")
-        return cond
-
-
-def _num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _check_histogram(ck: _Checker, h: dict, path: str) -> None:
-    if not ck.expect(isinstance(h, dict), path, "must be an object"):
-        return
-    for key in ("name", "labels", "bounds", "counts", "count", "sum"):
-        ck.expect(key in h, path, f"missing {key!r}")
-    bounds = h.get("bounds", [])
-    counts = h.get("counts", [])
-    ck.expect(list(bounds) == sorted(bounds)
-              and len(set(bounds)) == len(bounds),
-              path, "bounds must be strictly increasing")
-    if not ck.expect(len(counts) == len(bounds) + 1, path,
-                     f"need len(bounds)+1 counts, got {len(counts)} "
-                     f"for {len(bounds)} bounds"):
-        return
-    ck.expect(all(isinstance(n, int) and n >= 0 for n in counts),
-              path, "counts must be nonnegative integers")
-    count = h.get("count", -1)
-    ck.expect(sum(counts) == count, path,
-              f"bucket counts sum to {sum(counts)}, count says {count}")
+def _histogram(h: dict, at: str):
+    bounds, counts, count = h["bounds"], h["counts"], h["count"]
+    if bounds != sorted(set(bounds)):
+        yield f"{at}: bounds must be strictly increasing"
+    if len(counts) != len(bounds) + 1:
+        yield (f"{at}: need len(bounds)+1 counts, got {len(counts)} "
+               f"for {len(bounds)} bounds")
+    if sum(counts) != count:
+        yield f"{at}: bucket counts sum to {sum(counts)}, count says {count}"
+    ps = [h[p] for p in _PERCENTILES]
+    lo, hi = h["min"], h["max"]
     if count == 0:
-        ck.expect(all(h.get(p) is None for p in _PERCENTILES), path,
-                  "empty histogram must have null percentiles")
+        if any(v is not None for v in ps):
+            yield f"{at}: empty histogram must have null percentiles"
         return
-    lo, hi = h.get("min"), h.get("max")
-    ck.expect(_num(lo) and _num(hi) and lo <= hi, path,
-              "non-empty histogram needs numeric min <= max")
-    prev = None
-    for p in _PERCENTILES:
-        v = h.get(p)
-        if not ck.expect(_num(v), path, f"{p} must be numeric"):
-            continue
-        if _num(lo) and _num(hi):
-            ck.expect(lo - REL_TOL <= v <= hi + REL_TOL, path,
-                      f"{p}={v} escapes [min={lo}, max={hi}]")
-        if prev is not None:
-            ck.expect(v >= prev - REL_TOL, path,
-                      f"{p}={v} < previous percentile {prev} "
-                      f"(not monotone)")
-        prev = v
-    if _num(lo) and _num(hi) and _num(h.get("sum")):
-        ck.expect(count * lo - REL_TOL <= h["sum"]
-                  <= count * hi + REL_TOL, path,
-                  f"sum={h['sum']} inconsistent with count*[min,max]")
-
-
-def _check_metrics(ck: _Checker, metrics: dict, path: str) -> None:
-    if not ck.expect(isinstance(metrics, dict), path,
-                     "must be an object"):
+    if lo is None or hi is None or lo > hi or None in ps:
+        yield (f"{at}: non-empty histogram needs min <= max and every "
+               f"percentile")
         return
-    for section in ("counters", "gauges", "histograms"):
-        items = metrics.get(section)
-        if not ck.expect(isinstance(items, list), f"{path}.{section}",
-                         "must be a list"):
-            continue
-        for i, m in enumerate(items):
-            mpath = f"{path}.{section}[{i}]"
-            if not ck.expect(isinstance(m, dict), mpath,
-                             "must be an object"):
-                continue
-            ck.expect(isinstance(m.get("name"), str) and m.get("name"),
-                      mpath, "needs a name")
-            ck.expect(isinstance(m.get("labels"), dict), mpath,
-                      "needs a labels object")
-            if section == "counters":
-                ck.expect(_num(m.get("value")) and m.get("value", -1) >= 0,
-                          mpath, "counter value must be >= 0")
-            elif section == "gauges":
-                ck.expect(_num(m.get("value")), mpath,
-                          "gauge value must be numeric")
-            else:
-                _check_histogram(ck, m, mpath)
+    for p, v in zip(_PERCENTILES, ps):
+        if not lo - REL_TOL <= v <= hi + REL_TOL:
+            yield f"{at}: {p}={v} escapes [min={lo}, max={hi}]"
+    for p, prev, v in zip(_PERCENTILES[1:], ps, ps[1:]):
+        if v < prev - REL_TOL:
+            yield f"{at}: {p}={v} < previous percentile {prev} (not monotone)"
+    if not count * lo - REL_TOL <= h["sum"] <= count * hi + REL_TOL:
+        yield f"{at}: sum={h['sum']} inconsistent with count*[min,max]"
 
 
-def _check_spans(ck: _Checker, spans: list, pids: list,
-                 path: str) -> None:
-    ids = {s.get("id") for s in spans if isinstance(s, dict)}
-    pidset = set(pids)
+def invariants(payload: dict):
+    """The semantic violations of a schema-conforming artifact."""
+    for i, h in enumerate(payload["metrics"]["histograms"]):
+        yield from _histogram(h, f"$.metrics.histograms[{i}]")
+    spans, pids = payload["spans"], set(payload["pids"])
+    ids = {s["id"] for s in spans}
     for i, s in enumerate(spans):
-        spath = f"{path}[{i}]"
-        if not ck.expect(isinstance(s, dict), spath, "must be an object"):
-            continue
-        for key in _REQUIRED_SPAN:
-            ck.expect(key in s, spath, f"missing {key!r}")
-        ck.expect(_num(s.get("duration_s")) and s.get("duration_s", -1) >= 0,
-                  spath, "duration_s must be >= 0")
-        ck.expect(_num(s.get("t0")), spath, "t0 must be numeric")
-        ck.expect(isinstance(s.get("pid"), int)
-                  and (not pidset or s.get("pid") in pidset),
-                  spath, f"pid {s.get('pid')!r} not in $.pids")
+        at = f"$.spans[{i}]"
+        if pids and s["pid"] not in pids:
+            yield f"{at}: pid {s['pid']!r} not in $.pids"
         parent = s.get("parent")
-        ck.expect(parent is None or parent in ids, spath,
-                  f"parent {parent!r} does not resolve in the document")
-        cell = s.get("cell")
-        ck.expect(cell is None or (isinstance(cell, int) and cell >= 0),
-                  spath, "cell must be null or a nonnegative index")
-        if s.get("name") == "cell":
-            ck.expect(cell is not None, spath,
-                      "a cell span must carry its cell index")
+        if parent is not None and parent not in ids:
+            yield f"{at}: parent {parent!r} does not resolve in the document"
+        if s["name"] == "cell" and s["cell"] is None:
+            yield f"{at}: a cell span must carry its cell index"
 
-
-def _check_summary(ck: _Checker, payload: dict, path: str) -> None:
-    summary = payload.get("summary")
-    if not ck.expect(isinstance(summary, dict), path,
-                     "must be an object"):
-        return
-    spans = [s for s in payload.get("spans", []) if isinstance(s, dict)]
-    cells = [s for s in spans if s.get("name") == "cell"]
-    ck.expect(summary.get("cells") == len(cells), f"{path}.cells",
-              f"says {summary.get('cells')}, span recount is "
-              f"{len(cells)}")
-    stages = summary.get("stages")
-    if ck.expect(isinstance(stages, dict), f"{path}.stages",
-                 "must be an object"):
-        recount: dict[str, int] = {}
-        for s in spans:
-            if s.get("name") != "cell":
-                recount[s["name"]] = recount.get(s["name"], 0) + 1
-        for name, st in stages.items():
-            spath = f"{path}.stages.{name}"
-            if not ck.expect(isinstance(st, dict), spath,
-                             "must be an object"):
-                continue
-            ck.expect(st.get("count") == recount.get(name, 0), spath,
-                      f"count {st.get('count')} != span recount "
-                      f"{recount.get(name, 0)}")
-            ck.expect(_num(st.get("total_s"))
-                      and st.get("total_s", -1) >= 0,
-                      spath, "needs nonnegative total_s")
-        ck.expect(set(stages) == set(recount), f"{path}.stages",
-                  f"stage names {sorted(stages)} != span recount "
-                  f"{sorted(recount)}")
-    workers = summary.get("workers")
-    if ck.expect(isinstance(workers, dict), f"{path}.workers",
-                 "must be an object"):
-        span_pids = {str(s.get("pid")) for s in spans}
-        ck.expect(set(workers) == span_pids, f"{path}.workers",
-                  f"worker pids {sorted(workers)} != span pids "
-                  f"{sorted(span_pids)}")
-        for pid, w in workers.items():
-            ck.expect(isinstance(w, dict)
-                      and _num(w.get("utilization"))
-                      and 0.0 <= w.get("utilization", -1) <= 1.0 + REL_TOL,
-                      f"{path}.workers.{pid}",
-                      "utilization must be in [0, 1]")
-    cache = summary.get("cache")
-    if ck.expect(isinstance(cache, dict), f"{path}.cache",
-                 "must be an object"):
-        for kind, slot in cache.items():
-            cpath = f"{path}.cache.{kind}"
-            if not ck.expect(isinstance(slot, dict), cpath,
-                             "must be an object"):
-                continue
-            hits, misses = slot.get("hits"), slot.get("misses")
-            ok = (_num(hits) and _num(misses)
-                  and hits >= 0 and misses >= 0)
-            ck.expect(ok, cpath, "needs nonnegative hits/misses")
-            if ok:
-                total = hits + misses
-                want = (hits / total) if total else 0.0
-                ck.expect(abs(slot.get("hit_rate", -1) - want)
-                          <= REL_TOL, cpath,
-                          f"hit_rate {slot.get('hit_rate')} != "
-                          f"{want}")
-    for key in ("slowest_cells",):
-        items = summary.get(key)
-        if ck.expect(isinstance(items, list), f"{path}.{key}",
-                     "must be a list"):
-            for i, c in enumerate(items):
-                ck.expect(isinstance(c, dict)
-                          and _num(c.get("duration_s")),
-                          f"{path}.{key}[{i}]",
-                          "needs a numeric duration_s")
+    summary = payload["summary"]
+    cells = sum(1 for s in spans if s["name"] == "cell")
+    if summary["cells"] != cells:
+        yield (f"$.summary.cells: says {summary['cells']}, span recount "
+               f"is {cells}")
+    recount = Counter(s["name"] for s in spans if s["name"] != "cell")
+    stages = summary["stages"]
+    for name, st in stages.items():
+        if st["count"] != recount[name]:
+            yield (f"$.summary.stages.{name}: count {st['count']} != span "
+                   f"recount {recount[name]}")
+    if set(stages) != set(recount):
+        yield (f"$.summary.stages: stage names {sorted(stages)} != span "
+               f"recount {sorted(recount)}")
+    span_pids = {str(s["pid"]) for s in spans}
+    if set(summary["workers"]) != span_pids:
+        yield (f"$.summary.workers: worker pids {sorted(summary['workers'])}"
+               f" != span pids {sorted(span_pids)}")
+    for kind, slot in summary["cache"].items():
+        total = slot["hits"] + slot["misses"]
+        want = slot["hits"] / total if total else 0.0
+        if abs(slot["hit_rate"] - want) > REL_TOL:
+            yield f"$.summary.cache.{kind}: hit_rate {slot['hit_rate']} != {want}"
 
 
 def validate_metrics(payload) -> list[str]:
     """Return a list of violations (empty == valid)."""
-    ck = _Checker()
-    if not ck.expect(isinstance(payload, dict), "$",
-                     "payload must be an object"):
-        return ck.errors
-    ck.expect(payload.get("schema") == SCHEMA_TAG, "$.schema",
-              f"expected {SCHEMA_TAG!r}, got {payload.get('schema')!r}")
-    for key in _REQUIRED_TOP:
-        ck.expect(key in payload, "$", f"missing {key!r}")
-    ck.expect(isinstance(payload.get("trace_id"), str), "$.trace_id",
-              "must be a string")
-    pids = payload.get("pids", [])
-    ck.expect(isinstance(pids, list)
-              and all(isinstance(p, int) for p in pids),
-              "$.pids", "must be a list of integers")
-    _check_metrics(ck, payload.get("metrics", {}), "$.metrics")
-    spans = payload.get("spans", [])
-    if ck.expect(isinstance(spans, list), "$.spans", "must be a list"):
-        _check_spans(ck, spans, pids, "$.spans")
-    _check_summary(ck, payload, "$.summary")
-    return ck.errors
+    return check(payload, SCHEMA_TAG, invariants)

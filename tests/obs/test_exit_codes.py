@@ -9,8 +9,8 @@
     3  internal fault (crashed tool, watchdog, lost worker)
 
 This test drives each tool through each outcome in-process.  The lone
-hole is deliberate: ``repro.experiments`` reserves 1 for
-``repro.prof diff`` and has no regression outcome of its own.
+hole is deliberate: for ``repro.experiments`` exit 1 is reserved (it
+has no regression outcome of its own).
 """
 
 import json
@@ -140,8 +140,8 @@ EXPECTED = {"ok": 0, "regression": 1, "usage": 2, "crash": 3}
 def test_shared_exit_code_map(tool, outcome, tmp_path, monkeypatch,
                               capsys):
     if tool == "experiments" and outcome == "regression":
-        pytest.skip("repro.experiments reserves exit 1 for prof diff; "
-                    "it has no regression outcome")
+        pytest.skip("repro.experiments reserves exit 1; it has no "
+                    "regression outcome")
     rc = TOOLS[tool](outcome, tmp_path, monkeypatch)
     assert rc == EXPECTED[outcome], \
         f"{tool} {outcome}: expected {EXPECTED[outcome]}, got {rc}"
