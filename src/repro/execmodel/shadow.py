@@ -99,7 +99,7 @@ class ShadowRecorder:
 
     #: max elements one access record expands to before coarsening
     expand_cap = 4096
-    #: max conflicts reported per loop execution (the scan short-circuits)
+    #: max conflicts reported per loop execution (first in report order)
     max_conflicts_per_loop = 64
 
     def __init__(self):
@@ -107,6 +107,11 @@ class ShadowRecorder:
         #: executions of parallel loops seen (doall only)
         self.loops_checked = 0
         self._ctxs: list[_LoopCtx] = []
+        #: open contexts logging accesses now (an iteration under way,
+        #: not suspended); kept by the lifecycle calls below so the
+        #: per-access hooks need not rescan ``_ctxs``
+        self._active: list[_LoopCtx] = []
+        self.recording = False
         self._locks: frozenset = frozenset()
         #: strong refs to keyed objects so id() values stay unique
         self._pins: list[Any] = []
@@ -137,10 +142,10 @@ class ShadowRecorder:
 
     # -- loop lifecycle (called by the interpreter) --------------------
 
-    @property
-    def recording(self) -> bool:
-        return any(c.cur_iter is not None and not c.suspended
-                   for c in self._ctxs)
+    def _refresh(self) -> None:
+        self._active = [c for c in self._ctxs
+                        if c.cur_iter is not None and not c.suspended]
+        self.recording = bool(self._active)
 
     def open_loop(self, label: str) -> _LoopCtx:
         ctx = _LoopCtx(label)
@@ -156,19 +161,24 @@ class ShadowRecorder:
             if isinstance(v, FArray):
                 ctx.private_data.add(id(v.data))
                 self._pins.append(v.data)
+        self._refresh()
 
     def begin_iteration(self, ctx: _LoopCtx, iteration: int) -> None:
         ctx.cur_iter = int(iteration)
+        self._refresh()
 
     def suspend(self, ctx: _LoopCtx) -> None:
         ctx.suspended = True
+        self._refresh()
 
     def resume(self, ctx: _LoopCtx) -> None:
         ctx.suspended = False
+        self._refresh()
 
     def close_loop(self, ctx: _LoopCtx) -> None:
         assert self._ctxs and self._ctxs[-1] is ctx
         self._ctxs.pop()
+        self._refresh()
         self.conflicts.extend(self._analyze(ctx))
 
     # -- locks ---------------------------------------------------------
@@ -185,9 +195,7 @@ class ShadowRecorder:
                       kind: str) -> None:
         """A scalar variable access; ``containing`` is the scope that
         holds the variable (None is treated as global/shared)."""
-        for ctx in self._ctxs:
-            if ctx.cur_iter is None or ctx.suspended:
-                continue
+        for ctx in self._active:
             if containing is not None and _scope_under(containing,
                                                        ctx.wscope):
                 continue  # loop-local: private by construction
@@ -201,19 +209,19 @@ class ShadowRecorder:
         """An array access: one element (``idx``, Fortran subscripts),
         a section (``specs`` as passed to ``FArray.slice_of``), or the
         whole array (neither)."""
-        ctxs = [c for c in self._ctxs
-                if c.cur_iter is not None and not c.suspended
-                and id(arr.data) not in c.private_data]
-        if not ctxs:
-            return
-        tok = self._token(arr.data, name)
-        if idx is not None:
-            cells = [(tok, tuple(int(i) for i in idx))]
-        else:
-            elements = self._expand(arr, specs)
-            cells = ([(tok, _ALL)] if elements is None
-                     else [(tok, e) for e in elements])
-        for ctx in ctxs:
+        key = id(arr.data)
+        cells = None
+        for ctx in self._active:
+            if key in ctx.private_data:
+                continue
+            if cells is None:
+                tok = self._token(arr.data, name)
+                if idx is not None:
+                    cells = [(tok, tuple(int(i) for i in idx))]
+                else:
+                    elements = self._expand(arr, specs)
+                    cells = ([(tok, _ALL)] if elements is None
+                             else [(tok, e) for e in elements])
             for cell in cells:
                 self._log(ctx, cell, kind)
 
@@ -251,13 +259,19 @@ class ShadowRecorder:
     # -- analysis ------------------------------------------------------
 
     def _analyze(self, ctx: _LoopCtx) -> list[RaceConflict]:
+        """The loop's conflicts, at most ``max_conflicts_per_loop``.
+
+        Cells are logged in execution order, which depends on how the
+        iterations were dealt to workers, so every cell is scanned and
+        the report is sorted (:func:`_report_order`) before it is cut:
+        the same access sets give the same report at any processor
+        count and under any hash seed.
+        """
         out: list[RaceConflict] = []
         supercells = [c for c in
                       itertools.chain(ctx.writes, ctx.reads)
                       if c[1] == _ALL]
         for cell, writers in ctx.writes.items():
-            if len(out) >= self.max_conflicts_per_loop:
-                break
             pair = _conflicting_pair(writers, writers)
             if pair is not None:
                 out.append(self._conflict(ctx, cell, "write-write", pair))
@@ -278,7 +292,8 @@ class ShadowRecorder:
                 if pair is not None:
                     out.append(self._conflict(ctx, cell,
                                               "read-write", pair))
-        return out
+        out.sort(key=_report_order)
+        return out[:self.max_conflicts_per_loop]
 
     def _conflict(self, ctx: _LoopCtx, cell: tuple, kind: str,
                   pair: tuple[int, int]) -> RaceConflict:
@@ -307,14 +322,26 @@ def _scope_under(scope: Scope, wscope: Optional[Scope]) -> bool:
     return False
 
 
+def _report_order(c: RaceConflict) -> tuple:
+    return (c.iterations, c.var, c.element is not None, c.element or (),
+            c.kind)
+
+
 def _conflicting_pair(a: set, b: set) -> Optional[tuple[int, int]]:
-    """First (iter, iter) pair from a×b with different iterations and no
-    common lock, or None."""
+    """The smallest (i, j), i < j, of the iteration pairs from a×b with
+    no common lock, or None.
+
+    The smallest, not the first found: set iteration order follows
+    insertion order (the schedule) and, for accesses that carry lock
+    names, the string hash seed.  The common race-free case costs one
+    scan that finds nothing.
+    """
     for (i, locks_i) in a:
         for (j, locks_j) in b:
-            if i == j:
+            # same iteration, or serialized by a shared critical section
+            if i == j or locks_i & locks_j:
                 continue
-            if locks_i & locks_j:
-                continue  # serialized by a shared critical section
-            return (i, j) if i < j else (j, i)
+            return min((x, y) if x < y else (y, x)
+                       for (x, locks_x) in a for (y, locks_y) in b
+                       if x != y and not locks_x & locks_y)
     return None

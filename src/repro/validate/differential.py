@@ -4,9 +4,12 @@ For one workload and one restructurer configuration:
 
 1. interpret the sequential original (``processors=1``) on seeded
    randomized inputs — the baseline;
-2. restructure a fresh parse under the configuration, interpret the
-   Cedar program with several simulated processor counts and a
-   :class:`~repro.execmodel.shadow.ShadowRecorder` attached;
+2. restructure a fresh parse under the configuration and interpret
+   the Cedar program at several simulated processor counts; the first
+   count's run per seed has a
+   :class:`~repro.execmodel.shadow.ShadowRecorder` attached, and its
+   race findings stand for every count (they are per iteration, so
+   they do not depend on P);
 3. compare every dummy-argument result element-wise with dtype-aware
    tolerances (integers and logicals exactly, floats within
    ``atol``/``rtol``);
@@ -283,10 +286,15 @@ def validate_workload(case: ValidationCase,
                       engine: str = "tree") -> WorkloadResult:
     """Differentially validate one workload under every configuration.
 
-    ``engine`` selects the interpreter engine for baselines and
-    bisection; the shadow-instrumented variant runs always use the
-    tree-walk (race detection lives there), so results are engine-
-    independent by the compiled engine's numerics-identity guarantee.
+    Each (config, seed) gets one race check: the variant run at
+    ``processors[0]`` carries a :class:`ShadowRecorder` (which forces
+    the tree walk) and doubles as that cell's result; every other P
+    cell runs on ``engine`` without one.  Every P cell is credited the
+    check's ``loops_checked`` and conflicts, as a run of its own would
+    have found them: the detector compares iterations, never workers,
+    and an iteration's accesses do not depend on which worker runs it.
+    ``engine`` also runs the baselines and bisection; results are
+    engine-independent by the engines' numerics-identity guarantee.
     """
     wr = WorkloadResult(workload=case.name, suite=case.suite,
                         entry=case.entry, n=case.n,
@@ -302,12 +310,14 @@ def validate_workload(case: ValidationCase,
             # end per cell (and the cache makes even this probe-cheap)
             cedar, report0 = cached_restructure(case.source, opts)
             for seed in seeds:
-                for p in processors:
-                    shadow = ShadowRecorder()
-                    result, report = run_variant(case, opts, seed, p,
-                                                 shadow=shadow,
-                                                 cedar=cedar,
-                                                 report=report0)
+                # the one race check of this (config, seed) rides on the
+                # first P cell; every cell is credited its findings
+                shadow = ShadowRecorder()
+                for k, p in enumerate(processors):
+                    result, report = run_variant(
+                        case, opts, seed, p, engine=engine,
+                        shadow=None if k else shadow,
+                        cedar=cedar, report=report0)
                     cr.loops_checked += shadow.loops_checked
                     cr.races.extend(shadow.conflicts)
                     cr.divergences.extend(compare_outputs(

@@ -170,6 +170,82 @@ class TestValidateWorkload:
         assert any("recount" in p for p in problems)
 
 
+def per_p_reference(case, configs, seeds, processors):
+    """``validate_workload`` as it was with one race check per P cell:
+    the reference the single-check driver must reproduce exactly."""
+    wr = differential.WorkloadResult(
+        workload=case.name, suite=case.suite, entry=case.entry, n=case.n,
+        seeds=list(seeds), processors=list(processors))
+    baselines = {s: differential.run_baseline(case, s) for s in seeds}
+    for cname, factory in configs.items():
+        opts = factory()
+        cr = differential.ConfigResult(
+            config=cname, stages=differential.config_stages(opts))
+        for seed in seeds:
+            for p in processors:
+                shadow = differential.ShadowRecorder()
+                result, report = differential.run_variant(
+                    case, opts, seed, p, shadow=shadow)
+                cr.loops_checked += shadow.loops_checked
+                cr.races.extend(shadow.conflicts)
+                cr.divergences.extend(compare_outputs(
+                    baselines[seed], result,
+                    permutation_ok=case.permutation_ok,
+                    processors=p, seed=seed))
+                if not cr.compared_keys:
+                    cr.compared_keys = sorted(baselines[seed])
+                    cr.parallel_loops = sum(
+                        u.parallelized_loops for u in report.units.values())
+                    cr.discharged = {
+                        pl.loop_id: dict(sorted(pl.discharged.items()))
+                        for u in report.units.values()
+                        for pl in u.plans if pl.discharged}
+        if cr.divergences:
+            cr.status = "divergent"
+        elif cr.races:
+            cr.status = "race"
+        wr.configs.append(cr)
+    return wr
+
+
+class TestSingleRaceCheck:
+    """One race check per (config, seed), credited to every P cell."""
+
+    CONFIGS = {n: PIPELINE_CONFIGS[n] for n in ("automatic", "manual")}
+    SEEDS = (3, 17)
+    PROCESSORS = (1, 2, 8)
+
+    def test_one_shadow_recorder_per_config_and_seed(self, monkeypatch):
+        made = []
+
+        class Counting(differential.ShadowRecorder):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        monkeypatch.setattr(differential, "ShadowRecorder", Counting)
+        wr = validate_workload(validation_cases()["TRACK"], self.CONFIGS,
+                               seeds=self.SEEDS, processors=self.PROCESSORS,
+                               engine="source")
+        assert len(made) == len(self.CONFIGS) * len(self.SEEDS)
+        for k, c in enumerate(wr.configs):
+            # every P cell is credited its seed's single check
+            checks = made[k * len(self.SEEDS):(k + 1) * len(self.SEEDS)]
+            assert c.loops_checked > 0
+            assert c.loops_checked == len(self.PROCESSORS) * sum(
+                sh.loops_checked for sh in checks)
+
+    @pytest.mark.parametrize("name", ["tridag", "TRACK"])
+    def test_payload_matches_one_check_per_p(self, name):
+        case = validation_cases()[name]
+        got = validate_workload(case, self.CONFIGS, seeds=self.SEEDS,
+                                processors=self.PROCESSORS,
+                                engine="source")
+        want = per_p_reference(case, self.CONFIGS, self.SEEDS,
+                               self.PROCESSORS)
+        assert got.to_dict() == want.to_dict()
+
+
 class TestCli:
     def test_cli_runs_one_workload_clean(self, capsys, tmp_path):
         from repro.validate.__main__ import main

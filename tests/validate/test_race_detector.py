@@ -294,3 +294,98 @@ class TestDoacrossExcluded:
                              np.zeros(32))
         assert sh.loops_checked == 0
         assert sh.conflicts == []
+
+
+class TestDeterministicReports:
+    """A report depends only on the logged access sets: not on the order
+    they were logged in (the schedule), nor on the string hash seed."""
+
+    #: (iteration, locks held): pairs sharing a lock never conflict, so
+    #: iterations 1-4 (all holding crit_a) are serialized and the
+    #: smallest conflicting pair is (1, 5)
+    LOCKED = [(1, {"crit_a"}), (2, {"crit_a", "crit_b"}),
+              (3, {"crit_a", "crit_c"}), (4, {"crit_a"}), (5, {"crit_b"}),
+              (6, {"crit_c"}), (9, {"crit_b", "crit_c"}), (10, {"crit_d"}),
+              (11, set())]
+
+    @staticmethod
+    def _accesses(items):
+        return {(i, frozenset(locks)) for i, locks in items}
+
+    @staticmethod
+    def _brute_force(a, b):
+        return min(((i, j) if i < j else (j, i)
+                    for i, li in a for j, lj in b
+                    if i != j and not li & lj), default=None)
+
+    def test_smallest_pair_in_any_insertion_order(self):
+        from repro.execmodel.shadow import _conflicting_pair
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            order = rng.permutation(len(self.LOCKED))
+            a = self._accesses(self.LOCKED[k] for k in order)
+            assert _conflicting_pair(a, a) == (1, 5)
+            b = self._accesses(self.LOCKED[k] for k in order[:4])
+            assert _conflicting_pair(a, b) == self._brute_force(a, b)
+
+    def test_random_sets_match_brute_force(self):
+        from repro.execmodel.shadow import _conflicting_pair
+        rng = np.random.default_rng(5)
+        locks = ["l0", "l1", "l2"]
+        for _ in range(300):
+            def draw():
+                return self._accesses(
+                    (int(rng.integers(1, 12)),
+                     {x for x in locks if rng.random() < 0.4})
+                    for _ in range(int(rng.integers(0, 7))))
+            a, b = draw(), draw()
+            assert _conflicting_pair(a, b) == self._brute_force(a, b)
+
+    def test_same_pair_under_different_hash_seeds(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+        script = (
+            "from repro.execmodel.shadow import _conflicting_pair\n"
+            f"a = {{(i, frozenset(l)) for i, l in {self.LOCKED!r}}}\n"
+            "print(_conflicting_pair(a, a))\n")
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            outs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True).stdout.strip())
+        assert outs == {"(1, 5)"}
+
+    def test_report_independent_of_logging_order(self):
+        # the same accesses logged in loop order and in a P=2 worker
+        # order give the same report, and the cap keeps its head
+        from repro.execmodel.values import FArray
+
+        def run(order, cap=None):
+            sh = ShadowRecorder()
+            if cap is not None:
+                sh.max_conflicts_per_loop = cap
+            root = Scope()
+            root.declare("nhit", 0)
+            a = FArray(data=np.zeros(8), lowers=(1,))
+            ctx = sh.open_loop("do i @ test")
+            sh.begin_worker(ctx, Scope(parent=root))
+            for it in order:
+                sh.begin_iteration(ctx, it)
+                sh.record_array(a, "a", "w", idx=(it,))
+                sh.record_array(a, "a", "r", idx=(it % 6 + 1,))
+                sh.acquire("crit" if it % 2 else "other")
+                sh.record_scalar(root, "nhit", "w")
+                sh.release("crit" if it % 2 else "other")
+            sh.close_loop(ctx)
+            return sh.to_dict()["conflicts"]
+
+        serial = run([1, 2, 3, 4, 5, 6])
+        assert len(serial) == 7     # a(1)..a(6) read-write, nhit
+        assert run([1, 3, 5, 2, 4, 6]) == serial
+        assert run([6, 5, 4, 3, 2, 1]) == serial
+        assert run([1, 3, 5, 2, 4, 6], cap=3) == serial[:3]
